@@ -4,8 +4,8 @@ Paper (text search): 0.5 q/s token generation, 2.9 q/s ranking, 5.0
 q/s URL retrieval -- i.e., per query, token generation is the most
 expensive phase and URL retrieval the cheapest.  Absolute numbers here
 are NumPy-at-simulation-scale; the *ordering* is the structural claim
-this bench checks, along with the parallel-worker speedup behind the
-paper's "throughput scales linearly with the number of machines".
+this bench checks.  Scale-out across machines is the fleet's job
+(:mod:`repro.core.fleet`), measured end to end by ``perfbench``.
 """
 
 import json
@@ -16,7 +16,6 @@ import pytest
 
 from benchmarks.conftest import OUT_DIR, emit
 from repro import TiptoeConfig, TiptoeEngine, obs
-from repro.core.cluster_runtime import ShardedRankingService
 from repro.core.loadgen import measure_throughput, write_bench_files
 
 
@@ -48,65 +47,6 @@ def test_phase_throughput_ordering(benchmark, throughput_engine):
     assert (
         report.ranking.queries_per_second > report.token.queries_per_second
     )
-
-
-def test_parallel_workers_speed_up_ranking(benchmark):
-    """SS8.5: doubling the machines roughly doubles throughput.
-
-    Measured on a compute-bound shard size (where the paper's claim
-    lives); in-process threads share memory bandwidth so the speedup
-    is partial, but parallel must beat serial and answers must match.
-    """
-    from repro.homenc.double import DoubleLheParams, DoubleLheScheme
-    from repro.lwe import LweParams
-    from repro.lwe.sampling import seeded_rng
-
-    dim = 16
-    clusters = 512
-    rows = 2000
-    inner = LweParams(
-        n=64, q_bits=64, p=2**16, sigma=81920.0, m=dim * clusters
-    )
-    scheme = DoubleLheScheme(
-        DoubleLheParams(inner=inner, outer_n=64), a_seed=b"T" * 32
-    )
-    rng = seeded_rng(1)
-    matrix = rng.integers(-8, 8, size=(rows, dim * clusters))
-    serial = ShardedRankingService.build(scheme, matrix, dim, 4)
-    parallel = ShardedRankingService.build(scheme, matrix, dim, 4)
-    parallel.parallel = True
-    keys = scheme.gen_keys(rng)
-    from repro.core.ranking import RankingClient
-
-    client = RankingClient(scheme, dim=dim, num_clusters=clusters)
-    query = client.build_query(keys, rng.integers(-8, 8, dim), 0, rng)
-
-    def run_both():
-        parallel.answer(query)  # warm the pool
-        t0 = time.perf_counter()
-        for _ in range(3):
-            a_serial = serial.answer(query)
-        serial_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for _ in range(3):
-            a_parallel = parallel.answer(query)
-        parallel_s = time.perf_counter() - t0
-        return a_serial, a_parallel, serial_s, parallel_s
-
-    a_serial, a_parallel, serial_s, parallel_s = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    emit(
-        "parallel_workers",
-        [
-            f"matrix: {rows} x {dim * clusters} over 4 shards",
-            f"serial answer: {serial_s / 3 * 1e3:.2f} ms",
-            f"parallel answer: {parallel_s / 3 * 1e3:.2f} ms",
-            f"speedup: {serial_s / parallel_s:.2f}x",
-        ],
-    )
-    assert np.array_equal(a_serial.values, a_parallel.values)
-    assert parallel_s < serial_s * 1.2
 
 
 def test_bench_json_artifacts(throughput_engine):

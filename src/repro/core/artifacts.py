@@ -161,8 +161,14 @@ def _config_manifest(config: TiptoeConfig) -> dict:
     return out
 
 
+#: Config keys older builds wrote that no longer configure anything;
+#: dropped on load so those indexes still open.  Any other unknown key
+#: is still an error.
+_RETIRED_CONFIG_KEYS = frozenset({"num_workers"})
+
+
 def _config_from_manifest(entry: dict) -> TiptoeConfig:
-    entry = dict(entry)
+    entry = {k: v for k, v in entry.items() if k not in _RETIRED_CONFIG_KEYS}
     entry["security"] = SecurityLevel(entry["security"])
     return TiptoeConfig(**entry)
 

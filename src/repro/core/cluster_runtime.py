@@ -1,16 +1,19 @@
-"""Coordinator and sharded workers (SS4.3), batch-first.
+"""The in-process ranking coordinator (SS4.3), batch-first.
 
-The ranking matrix is vertically partitioned by cluster across W
-workers: worker i holds the column blocks of its clusters.  The
-coordinator splits the client ciphertexts -- stacked into a
+The ranking matrix is vertically partitioned by cluster: a worker
+holds the column blocks of its clusters.  The coordinator splits the
+client ciphertexts -- stacked into a
 :class:`~repro.core.ranking.RankingBatch`, one query per column, so
-the split is a plain row-slice of the stack -- ships chunk i to worker
+the split is a plain row-slice of the stack -- hands chunk i to worker
 i, and sums the partial answers mod q.  Each worker answers its chunk
-with a single matrix-matrix product over a cached
-:class:`~repro.lwe.modular.StackedPlan`, so a batch of Q queries
-streams the shard from memory once instead of Q times.  If any worker
-fails mid-batch the coordinator cannot reply for that batch (the paper
-notes the same limitation and the replication remedy).
+with a single matrix-matrix product over a cached kernel plan, so a
+batch of Q queries streams the shard from memory once instead of Q
+times.
+
+Serving builds one worker -- one kernel plan -- per process: scale-up
+comes from the plan's own kernel threads, and scale-out, replication
+and failover from :mod:`repro.core.fleet`, which runs one process per
+(shard, replica) and folds their partial answers.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ from repro.net.service import Service
 from repro.obs import runtime as obs
 
 
-class WorkerFailure(RuntimeError):
-    """A worker shard did not answer; the query cannot complete."""
-
-
 @dataclass
 class RankingWorker:
     """One shard: a contiguous range of cluster column-blocks."""
@@ -46,7 +45,6 @@ class RankingWorker:
     matrix_slice: np.ndarray  # (rows, cols of this shard)
     col_start: int
     q_bits: int
-    alive: bool = True
     ledger: CostLedger = field(default_factory=CostLedger)
     #: Optional precomputed bound on the shard's centered entries
     #: (from the index sidecar); skips the plan's full-shard scan.  The
@@ -89,8 +87,6 @@ class RankingWorker:
             plan.close()
 
     def answer_chunk(self, ct_chunk: np.ndarray) -> np.ndarray:
-        if not self.alive:
-            raise WorkerFailure(f"worker {self.worker_id} is down")
         if len(ct_chunk) != self.matrix_slice.shape[1]:
             raise ValueError("ciphertext chunk does not match shard width")
         self.ledger.add(
@@ -104,8 +100,6 @@ class RankingWorker:
         Column i is bit-identical to ``answer_chunk(chunk[:, i])`` --
         both are the exact mod-2^k ring product of the same operands.
         """
-        if not self.alive:
-            raise WorkerFailure(f"worker {self.worker_id} is down")
         if chunk.ndim != 2 or chunk.shape[0] != self.matrix_slice.shape[1]:
             raise ValueError("stacked chunk does not match shard width")
         self.ledger.add("ranking", 2 * self.matrix_slice.size * chunk.shape[1])
@@ -118,12 +112,7 @@ class RankingWorker:
 
 @dataclass
 class ShardedRankingService(Service):
-    """The coordinator plus its worker fleet.
-
-    With ``parallel=True`` the coordinator fans chunks out to a thread
-    pool -- NumPy's integer matmul and BLAS both release the GIL, so
-    shards really do run concurrently, mirroring the paper's parallel
-    workers.
+    """The coordinator plus its column-block workers.
 
     As a :class:`~repro.net.service.Service` its wire interface is an
     ``answer`` method carrying one serialized ciphertext and an
@@ -136,7 +125,6 @@ class ShardedRankingService(Service):
     workers: list[RankingWorker]
     scheme: DoubleLheScheme
     ledger: CostLedger = field(default_factory=CostLedger)
-    parallel: bool = False
     #: Set when this service holds one fleet shard (see
     #: :meth:`build_shard`): its workers cover only that shard's
     #: cluster columns and ``answer`` returns a *partial* sum the
@@ -145,7 +133,6 @@ class ShardedRankingService(Service):
     num_shards: int | None = None
     #: Kernel backend the shard workers execute on (None -> reference).
     kernel_backend: str | None = None
-    _pool: object = field(default=None, repr=False)
     _scheduler: object = field(default=None, repr=False)
 
     service_name = "ranking"
@@ -159,6 +146,9 @@ class ShardedRankingService(Service):
         query = RankingQuery(ciphertext=ct)
         scheduler = self._scheduler
         if scheduler is not None and scheduler.running:
+            # Checked before admission: a malformed request must fail
+            # alone, not the batch it would be stacked into.
+            self._check_length(len(ct.c))
             answer = scheduler.submit(query)
         else:
             answer = self.answer(query)
@@ -186,12 +176,10 @@ class ShardedRankingService(Service):
         return self._scheduler
 
     def health(self) -> dict:
-        alive = sum(1 for w in self.workers if w.alive)
         report = {
             "service": self.service_name,
-            "status": "ok" if alive == len(self.workers) else "degraded",
+            "status": "ok",
             "workers": len(self.workers),
-            "alive": alive,
             "kernel_backend": self.kernel_backend or "reference",
         }
         # What is *actually* running may differ from what was asked
@@ -225,13 +213,16 @@ class ShardedRankingService(Service):
         kernel_backend: str | None = None,
         kernel_opts: dict | None = None,
     ) -> "ShardedRankingService":
-        """Partition the matrix by cluster across workers.
+        """Partition the matrix by cluster across ``num_workers``
+        workers (capped at one per cluster).
 
-        ``entry_bound`` (from the precompute sidecar) is a bound on the
-        full matrix's centered entries; each shard inherits it so its
-        batch plan skips the entry scan.  ``kernel_backend`` /
-        ``kernel_opts`` select and parameterize the kernel backend every
-        shard executes on (see :mod:`repro.lwe.backends`).
+        Serving passes ``num_workers=1``: one kernel plan over the
+        whole matrix.  ``entry_bound`` (from the precompute sidecar) is
+        a bound on the full matrix's centered entries; each worker
+        inherits it so its plan skips the entry scan.
+        ``kernel_backend`` / ``kernel_opts`` select and parameterize
+        the kernel backend every worker executes on (see
+        :mod:`repro.lwe.backends`).
         """
         num_clusters = matrix.shape[1] // dim
         num_workers = min(num_workers, num_clusters)
@@ -268,15 +259,14 @@ class ShardedRankingService(Service):
         dim: int,
         shard: int,
         num_shards: int,
-        num_workers: int = 1,
         entry_bound: int | None = None,
         kernel_backend: str | None = None,
         kernel_opts: dict | None = None,
     ) -> "ShardedRankingService":
         """One fleet shard: the cluster-column slice ``shard`` of
-        ``num_shards``, itself worker-partitioned via :meth:`build`.
+        ``num_shards``, served by one worker (one kernel plan).
 
-        The shard's workers keep *absolute* column offsets into the
+        The shard's worker keeps *absolute* column offsets into the
         full matrix, so ``answer`` accepts the same full-length
         ciphertext as the single-process service and returns the
         partial sum over this shard's columns.  Because answers add
@@ -298,7 +288,7 @@ class ShardedRankingService(Service):
             scheme,
             matrix[:, lo:hi],
             dim,
-            num_workers,
+            num_workers=1,
             entry_bound=entry_bound,
             kernel_backend=kernel_backend,
             kernel_opts=kernel_opts,
@@ -313,129 +303,87 @@ class ShardedRankingService(Service):
     def num_workers(self) -> int:
         return len(self.workers)
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=len(self.workers))
-        return self._pool
-
     def open(self) -> None:
         """Start the attached scheduler (if any).  Idempotent."""
         if self._scheduler is not None:
             self._scheduler.start()
 
     def close(self) -> None:
-        """Shut down the scheduler and worker thread pool (idempotent).
-
-        Without this the executor's non-daemon threads outlive the
-        service and interpreter exit blocks joining them.  The service
-        remains usable after close -- the pool is lazily recreated.
-        """
+        """Stop the scheduler and drop the workers' kernel plans
+        (idempotent).  The service stays usable: plans rebuild lazily."""
         if self._scheduler is not None:
             self._scheduler.stop()
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         for worker in self.workers:
             worker.drop_plan()
 
-    def __enter__(self) -> "ShardedRankingService":
-        return self
+    def _check_length(self, words: int) -> None:
+        """Reject a ciphertext that is not exactly ``m`` words long.
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+        Every worker slices its columns out of the full-length
+        ciphertext, so without this a longer one would be silently
+        truncated into a normal-looking answer.
+        """
+        m = self.scheme.params.inner.m
+        if words != m:
+            raise ValueError(
+                f"ranking ciphertext has {words} words, expected {m}"
+            )
 
-    def answer(self, query: RankingQuery) -> RankingAnswer:
-        """Fan out the ciphertext, sum the partial answers."""
-        q_bits = self.scheme.params.inner.q_bits
-        ct = query.ciphertext.c
-        with obs.span(
-            "ranking.answer",
-            workers=len(self.workers),
-            parallel=self.parallel,
-        ) as coord_span:
-
-            def run(worker: RankingWorker) -> np.ndarray:
-                width = worker.matrix_slice.shape[1]
-                with obs.span(
-                    "ranking.worker",
-                    parent=coord_span,
-                    worker=worker.worker_id,
-                    rows=worker.matrix_slice.shape[0],
-                    cols=width,
-                ):
-                    chunk = ct[worker.col_start : worker.col_start + width]
-                    return worker.answer_chunk(chunk)
-
-            if self.parallel and len(self.workers) > 1:
-                partials = list(self._ensure_pool().map(run, self.workers))
+    def _scan(self, operand: np.ndarray, **attrs) -> np.ndarray:
+        """Run every worker on its row-slice of ``operand`` -- one
+        ciphertext (1-D) or a stacked batch (2-D) -- and sum the
+        partial answers mod 2^k."""
+        total = None
+        for worker in self.workers:
+            rows, width = worker.matrix_slice.shape
+            chunk = operand[worker.col_start : worker.col_start + width]
+            with obs.span(
+                "ranking.worker",
+                worker=worker.worker_id,
+                rows=rows,
+                cols=width,
+                **attrs,
+            ):
+                if operand.ndim == 1:
+                    partial = worker.answer_chunk(chunk)
+                else:
+                    partial = worker.answer_stacked(chunk)
+            if total is None:
+                total = partial
             else:
-                partials = [run(w) for w in self.workers]
-            total = partials[0]
-            for partial in partials[1:]:
-                total = modular.add(total, partial, q_bits)
+                # Unsigned in-place add wraps mod 2^k exactly.
+                np.add(total, partial, out=total)
         for worker in self.workers:
             self.ledger.merge(worker.ledger)
             worker.ledger = CostLedger()
+        return total
+
+    def answer(self, query: RankingQuery) -> RankingAnswer:
+        """Fan out the ciphertext, sum the partial answers."""
+        ct = query.ciphertext.c
+        self._check_length(len(ct))
+        with obs.span("ranking.answer", workers=len(self.workers)):
+            total = self._scan(ct)
         return RankingAnswer(
             values=total,
             bytes_per_element=self.scheme.params.inner.bytes_per_element,
         )
 
     def answer_stacked(self, batch: RankingBatch) -> RankingBatchAnswer:
-        """Answer a stacked batch: one GEMM per shard, summed mod q.
+        """Answer a stacked batch: one GEMM per worker, summed mod q.
 
         Column i of the result is bit-identical to ``answer`` on query
         i alone: each worker partial is the exact ring product of the
-        same operands, and mod-2^k accumulation is column-wise.  The
-        parallel/serial mode check is hoisted out of the per-worker
-        path, and the serial fallback accumulates in place (no
-        per-worker allocations beyond the partials themselves).
+        same operands, and mod-2^k accumulation is column-wise.
         """
-        q_bits = self.scheme.params.inner.q_bits
         stacked = batch.stacked
+        self._check_length(stacked.shape[0])
         with obs.span(
             "ranking.answer_batch",
             workers=len(self.workers),
             batch=batch.size,
-            parallel=self.parallel,
-        ) as coord_span:
-
-            def run(worker: RankingWorker) -> np.ndarray:
-                width = worker.matrix_slice.shape[1]
-                with obs.span(
-                    "ranking.worker",
-                    parent=coord_span,
-                    worker=worker.worker_id,
-                    rows=worker.matrix_slice.shape[0],
-                    cols=width,
-                    batch=batch.size,
-                ):
-                    chunk = stacked[
-                        worker.col_start : worker.col_start + width
-                    ]
-                    return worker.answer_stacked(chunk)
-
-            use_pool = self.parallel and len(self.workers) > 1
-            if use_pool:
-                partials = list(self._ensure_pool().map(run, self.workers))
-                total = partials[0]
-                for partial in partials[1:]:
-                    np.add(total, partial, out=total)
-            else:
-                total = None
-                for worker in self.workers:
-                    partial = run(worker)
-                    if total is None:
-                        total = partial
-                    else:
-                        # Unsigned in-place add wraps mod 2^k exactly.
-                        np.add(total, partial, out=total)
-        for worker in self.workers:
-            self.ledger.merge(worker.ledger)
-            worker.ledger = CostLedger()
+        ):
+            total = self._scan(stacked, batch=batch.size)
         return RankingBatchAnswer(
             stacked=total,
             bytes_per_element=self.scheme.params.inner.bytes_per_element,
@@ -445,7 +393,7 @@ class ShardedRankingService(Service):
         """Answer several queries in one pass over the index.
 
         Stacking the ciphertexts into a matrix turns Q matrix-vector
-        products into one matrix-matrix product per shard -- the index
+        products into one matrix-matrix product per worker -- the index
         streams from memory once per batch instead of once per query.
         Answers are bit-identical to individual :meth:`answer` calls.
         """
@@ -454,177 +402,5 @@ class ShardedRankingService(Service):
         batch = RankingBatch.from_queries(queries)
         return self.answer_stacked(batch).split()
 
-    def fail_worker(self, worker_id: int) -> None:
-        """Failure injection for tests/benchmarks."""
-        self.workers[worker_id].alive = False
-
-    def revive_worker(self, worker_id: int) -> None:
-        self.workers[worker_id].alive = True
-
     def max_shard_bytes(self) -> int:
         return max(w.storage_bytes() for w in self.workers)
-
-
-@dataclass
-class ReplicatedRankingService(Service):
-    """Sharded ranking with per-shard replication (SS4.3).
-
-    "To improve latency and fault-tolerance at some operating cost,
-    the coordinator could farm out each task to multiple machines."
-    Each shard is served by ``replicas`` identical workers; a query
-    survives any failure pattern that leaves one live replica per
-    shard.  Storage cost is ``replicas`` times the base deployment.
-
-    Carries the same :class:`~repro.net.service.Service` lifecycle as
-    the sharded coordinator, so a ``ServerRunner`` can host, health-
-    check, and close it: ``close`` releases every replica's cached
-    batch plan (the float staging copy of its shard) instead of
-    leaking them for the life of the process.
-    """
-
-    replica_groups: list[list[RankingWorker]]
-    scheme: DoubleLheScheme
-    ledger: CostLedger = field(default_factory=CostLedger)
-
-    service_name = "ranking"
-
-    def register_endpoint(self, endpoint: ServiceEndpoint) -> None:
-        endpoint.register("answer", self._handle_answer)
-        endpoint.register("answer_batch", self._handle_answer_batch)
-
-    def _handle_answer(self, payload: bytes) -> bytes:
-        ct = wire.decode_ciphertext(payload, self.scheme.params.inner)
-        answer = self.answer(RankingQuery(ciphertext=ct))
-        return wire.encode_answer(
-            answer.values, self.scheme.params.inner.q_bits
-        )
-
-    def _handle_answer_batch(self, payload: bytes) -> bytes:
-        batch = wire.decode_batch(payload, self.scheme.params.inner)
-        answer = self.answer_stacked(batch)
-        return wire.encode_batch_answer(
-            answer, self.scheme.params.inner.q_bits
-        )
-
-    def health(self) -> dict:
-        """Degraded while any shard is below full replication; failed
-        once some shard has no live replica at all."""
-        live_per_shard = [
-            sum(1 for w in group if w.alive) for group in self.replica_groups
-        ]
-        if any(live == 0 for live in live_per_shard):
-            status = "failed"
-        elif any(
-            live < len(group)
-            for live, group in zip(live_per_shard, self.replica_groups)
-        ):
-            status = "degraded"
-        else:
-            status = "ok"
-        return {
-            "service": self.service_name,
-            "status": status,
-            "shards": len(self.replica_groups),
-            "replicas": self.replicas,
-            "live_replicas": live_per_shard,
-        }
-
-    def close(self) -> None:
-        """Release every replica's cached batch plan.  Idempotent."""
-        for group in self.replica_groups:
-            for worker in group:
-                worker.drop_plan()
-
-    @classmethod
-    def build(
-        cls,
-        scheme: DoubleLheScheme,
-        matrix: np.ndarray,
-        dim: int,
-        num_workers: int,
-        replicas: int = 2,
-    ) -> "ReplicatedRankingService":
-        if replicas < 1:
-            raise ValueError("need at least one replica per shard")
-        base = ShardedRankingService.build(scheme, matrix, dim, num_workers)
-        groups = []
-        for worker in base.workers:
-            groups.append(
-                [
-                    RankingWorker(
-                        worker_id=worker.worker_id * replicas + r,
-                        matrix_slice=worker.matrix_slice,
-                        col_start=worker.col_start,
-                        q_bits=worker.q_bits,
-                    )
-                    for r in range(replicas)
-                ]
-            )
-        return cls(replica_groups=groups, scheme=scheme)
-
-    @property
-    def replicas(self) -> int:
-        return len(self.replica_groups[0])
-
-    def _first_live(self, group: list[RankingWorker]) -> RankingWorker:
-        for worker in group:
-            if worker.alive:
-                return worker
-        raise WorkerFailure(
-            f"all replicas of shard at column {group[0].col_start} are down"
-        )
-
-    def answer(self, query: RankingQuery) -> RankingAnswer:
-        """Fan out each chunk to the first live replica of its shard."""
-        q_bits = self.scheme.params.inner.q_bits
-        ct = query.ciphertext.c
-        total = None
-        for group in self.replica_groups:
-            worker = self._first_live(group)
-            width = worker.matrix_slice.shape[1]
-            chunk = ct[worker.col_start : worker.col_start + width]
-            partial = worker.answer_chunk(chunk)
-            self.ledger.merge(worker.ledger)
-            worker.ledger = CostLedger()
-            total = partial if total is None else modular.add(
-                total, partial, q_bits
-            )
-        return RankingAnswer(
-            values=total,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )
-
-    def answer_stacked(self, batch: RankingBatch) -> RankingBatchAnswer:
-        """Batched fan-out: one GEMM on the first live replica per shard."""
-        total = None
-        for group in self.replica_groups:
-            worker = self._first_live(group)
-            width = worker.matrix_slice.shape[1]
-            chunk = batch.stacked[
-                worker.col_start : worker.col_start + width
-            ]
-            partial = worker.answer_stacked(chunk)
-            self.ledger.merge(worker.ledger)
-            worker.ledger = CostLedger()
-            if total is None:
-                total = partial
-            else:
-                np.add(total, partial, out=total)
-        return RankingBatchAnswer(
-            stacked=total,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )
-
-    def answer_batch(self, queries: list[RankingQuery]) -> list[RankingAnswer]:
-        if not queries:
-            return []
-        return self.answer_stacked(RankingBatch.from_queries(queries)).split()
-
-    def fail_worker(self, shard: int, replica: int) -> None:
-        self.replica_groups[shard][replica].alive = False
-
-    def storage_bytes(self) -> int:
-        """Total fleet storage -- ``replicas`` times the base index."""
-        return sum(
-            w.storage_bytes() for group in self.replica_groups for w in group
-        )

@@ -159,9 +159,9 @@ class BatchScheduler:
     def submit(self, query: RankingQuery) -> RankingAnswer:
         """Enqueue one query and block until its answer is ready.
 
-        Raises whatever the batch execution raised (e.g.
-        ``WorkerFailure``) -- scoped to this batch only -- or
-        :class:`SchedulerClosed` if the scheduler is not running.
+        Raises whatever the batch execution raised -- scoped to this
+        batch only -- or :class:`SchedulerClosed` if the scheduler is
+        not running.
         """
         slot = _Slot(query, self._clock())
         with self._wakeup:

@@ -223,7 +223,6 @@ def build_services(
             dim=index.layout.dim,
             shard=shard,
             num_shards=num_shards,
-            num_workers=index.config.num_workers,
             entry_bound=entry_bound,
             kernel_backend=ranking_backend,
             kernel_opts=ranking_opts,
@@ -233,7 +232,7 @@ def build_services(
             index.ranking_scheme,
             index.layout.matrix,
             dim=index.layout.dim,
-            num_workers=index.config.num_workers,
+            num_workers=1,
             entry_bound=entry_bound,
             kernel_backend=ranking_backend,
             kernel_opts=ranking_opts,

@@ -72,11 +72,16 @@ class KernelPlan:
             ) from exc
 
     def plan_kwargs(self) -> dict:
-        """Keyword arguments for :meth:`KernelBackend.plan`."""
+        """Keyword arguments for :meth:`KernelBackend.plan`.
+
+        The worker count is capped at this host's cores: a plan tuned
+        on a 16-core build host must not start 16 processes or threads
+        on a 2-core server (0 still means the backend's default).
+        """
         return {
             "limb_bits": self.limb_bits or None,
             "chunk_rows": self.chunk_rows,
-            "workers": self.workers,
+            "workers": min(self.workers, os.cpu_count() or 1),
         }
 
 

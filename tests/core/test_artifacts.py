@@ -106,6 +106,24 @@ class TestValidation:
             load_index(tmp_path)
         assert SCHEMA in str(info.value)  # tells the reader what *would* load
 
+    def _copy_with_config_key(self, saved, tmp_path, key, value):
+        for name in ("manifest.json", "vocab.json", "arrays.npz", "blobs.bin"):
+            (tmp_path / name).write_bytes((saved / name).read_bytes())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_retired_num_workers_key_still_loads(self, engine, saved, tmp_path):
+        # Indexes saved before the per-shard worker count was retired
+        # carry "num_workers" in their config; they must keep loading.
+        self._copy_with_config_key(saved, tmp_path, "num_workers", 4)
+        assert load_index(tmp_path).config == engine.index.config
+
+    def test_unknown_config_key_is_rejected(self, saved, tmp_path):
+        self._copy_with_config_key(saved, tmp_path, "bogus_knob", 1)
+        with pytest.raises(TypeError, match="bogus_knob"):
+            load_index(tmp_path)
+
     def test_truncated_blobs(self, saved, tmp_path):
         for name in ("manifest.json", "vocab.json", "arrays.npz"):
             (tmp_path / name).write_bytes((saved / name).read_bytes())

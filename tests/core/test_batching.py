@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
+from repro.core.cluster_runtime import RankingWorker, ShardedRankingService
 from repro.core.ranking import RankingClient
 from repro.embeddings.quantize import quantize
 
@@ -57,12 +57,18 @@ class TestBatchedAnswers:
         )
         assert added == 2 * matrix_entries * len(queries)
 
-    def test_worker_failure_blocks_batch(self, batch_setup):
+    def test_worker_failure_blocks_batch(self, batch_setup, monkeypatch):
         service, queries = batch_setup
-        service.fail_worker(1)
-        with pytest.raises(WorkerFailure):
-            service.answer_batch(queries)
-        service.revive_worker(1)
+
+        def failing_answer(worker, chunk):
+            raise RuntimeError(f"worker {worker.worker_id} failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RankingWorker, "answer_stacked", failing_answer)
+            with pytest.raises(RuntimeError, match="failed"):
+                service.answer_batch(queries)
+        # The failure left nothing behind: the next batch answers.
+        assert len(service.answer_batch(queries)) == len(queries)
 
     def test_batching_is_not_slower_per_query(self, batch_setup):
         service, queries = batch_setup
@@ -78,116 +84,37 @@ class TestBatchedAnswers:
         assert batched_s < individual_s * 1.5
 
 
-class TestParallelBatch:
-    """Regression: answer_batch ran shards serially even when
-    ``parallel=True``; it must fan out AND stay bit-identical."""
+class TestPlanLifecycle:
+    """close drops the workers' kernel plans; the service stays usable."""
 
-    def _build(self, engine, parallel):
-        index = engine.index
-        service = ShardedRankingService.build(
-            index.ranking_scheme, index.layout.matrix, index.layout.dim, 4
-        )
-        service.parallel = parallel
-        return service
-
-    def test_parallel_batch_bit_identical_to_serial(self, engine, batch_setup):
-        _, queries = batch_setup
-        serial = self._build(engine, parallel=False)
-        parallel = self._build(engine, parallel=True)
-        try:
-            a_serial = serial.answer_batch(queries)
-            a_parallel = parallel.answer_batch(queries)
-            for got, want in zip(a_parallel, a_serial):
-                assert np.array_equal(got.values, want.values)
-        finally:
-            serial.close()
-            parallel.close()
-
-    def test_parallel_batch_matches_individual_answers(self, engine, batch_setup):
-        _, queries = batch_setup
-        with self._build(engine, parallel=True) as service:
-            individual = [service.answer(q).values for q in queries]
-            batched = [a.values for a in service.answer_batch(queries)]
-        for got, want in zip(batched, individual):
-            assert np.array_equal(got, want)
-
-    def test_parallel_batch_runs_on_pool_threads(
-        self, engine, batch_setup, monkeypatch
-    ):
-        import threading
-
-        from repro.core.cluster_runtime import RankingWorker
-
-        _, queries = batch_setup
-        threads = set()
-        real_answer = RankingWorker.answer_stacked
-
-        def spying_answer(worker, chunk):
-            threads.add(threading.get_ident())
-            return real_answer(worker, chunk)
-
-        monkeypatch.setattr(RankingWorker, "answer_stacked", spying_answer)
-        with self._build(engine, parallel=True) as service:
-            service.answer_batch(queries)
-        # The regression ran every shard on the calling thread; the fix
-        # hands all shard scans to pool threads.
-        assert threads and threading.get_ident() not in threads
-
-    def test_worker_failure_blocks_parallel_batch(self, engine, batch_setup):
-        _, queries = batch_setup
-        with self._build(engine, parallel=True) as service:
-            service.fail_worker(2)
-            with pytest.raises(WorkerFailure):
-                service.answer_batch(queries)
-
-
-class TestPoolLifecycle:
-    """Regression: the shard thread pool was never shut down."""
-
-    def test_close_shuts_down_pool(self, engine, batch_setup):
-        _, queries = batch_setup
-        service = ShardedRankingService.build(
+    def _build(self, engine):
+        return ShardedRankingService.build(
             engine.index.ranking_scheme,
             engine.index.layout.matrix,
             engine.index.layout.dim,
             3,
         )
-        service.parallel = True
-        service.answer(queries[0])
-        assert service._pool is not None
-        service.close()
-        assert service._pool is None
-        service.close()  # idempotent
 
-    def test_answer_after_close_recreates_pool(self, engine, batch_setup):
+    def test_close_drops_the_plans(self, engine, batch_setup):
         _, queries = batch_setup
-        service = ShardedRankingService.build(
-            engine.index.ranking_scheme,
-            engine.index.layout.matrix,
-            engine.index.layout.dim,
-            3,
-        )
-        service.parallel = True
+        service = self._build(engine)
         want = service.answer(queries[0]).values
+        assert all(w._plan is not None for w in service.workers)
         service.close()
-        got = service.answer(queries[0]).values
-        assert np.array_equal(got, want)
+        assert all(w._plan is None for w in service.workers)
+        service.close()  # idempotent
+        # Plans rebuild lazily on the next query, bit for bit.
+        assert np.array_equal(service.answer(queries[0]).values, want)
         service.close()
 
     def test_context_manager_closes(self, engine, batch_setup):
         _, queries = batch_setup
-        with ShardedRankingService.build(
-            engine.index.ranking_scheme,
-            engine.index.layout.matrix,
-            engine.index.layout.dim,
-            3,
-        ) as service:
-            service.parallel = True
+        with self._build(engine) as service:
             service.answer(queries[0])
-            assert service._pool is not None
-        assert service._pool is None
+            assert all(w._plan is not None for w in service.workers)
+        assert all(w._plan is None for w in service.workers)
 
-    def test_engine_close_reaches_ranking_pool(self, corpus):
+    def test_engine_close_drops_ranking_plans(self, corpus):
         from repro import TiptoeConfig, TiptoeEngine
 
         with TiptoeEngine.build(
@@ -196,6 +123,7 @@ class TestPoolLifecycle:
             TiptoeConfig(),
             rng=np.random.default_rng(4),
         ) as engine:
-            engine.ranking_service.parallel = True
             engine.search(corpus.documents[0].text, np.random.default_rng(5))
-        assert engine.ranking_service._pool is None
+            (worker,) = engine.ranking_service.workers
+            assert worker._plan is not None
+        assert worker._plan is None

@@ -24,7 +24,7 @@ from repro.core.fleet import (
     UnknownGeneration,
 )
 from repro.core.indexer import TiptoeIndex
-from repro.core.ranking import RankingClient
+from repro.core.ranking import RankingBatch, RankingClient
 from repro.core.services import build_services
 from repro.corpus import SyntheticCorpus, SyntheticCorpusConfig
 from repro.embeddings.quantize import quantize
@@ -184,6 +184,14 @@ def build_ranking_query(index, seed):
 
 def ranking_blob(index, seed):
     return wire.encode_ciphertext(build_ranking_query(index, seed).ciphertext)
+
+
+def ranking_batch_blob(index, seeds):
+    return wire.encode_batch(
+        RankingBatch.from_queries(
+            [build_ranking_query(index, seed) for seed in seeds]
+        )
+    )
 
 
 class TestGenerationAddressing:
@@ -396,6 +404,35 @@ class TestFailover:
         blob = ranking_blob(index, 10)
         with pytest.raises(NoLiveReplica):
             router.route("ranking", rpc.frame("answer", blob))
+
+    def test_failed_over_batch_stays_bit_identical(self, index, fleet):
+        # One replica of each of two shards down: every shard still has
+        # a live replica, so the stacked answer is unchanged.
+        fake, router = fleet
+        seeds = range(4)
+        request = rpc.frame("answer_batch", ranking_batch_blob(index, seeds))
+        healthy = router.route("ranking", request)
+        # Column i of the folded stacked answer is query i's answer.
+        stacked, _ = wire.decode_batch_answer(rpc.unframe(healthy)[1])
+        for i, seed in enumerate(seeds):
+            single = router.route(
+                "ranking", rpc.frame("answer", ranking_blob(index, seed))
+            )
+            values, _ = wire.decode_answer(rpc.unframe(single)[1])
+            assert np.array_equal(stacked[:, i], values)
+        fake.killed.add(fake.port(0, 1))
+        fake.killed.add(fake.port(2, 0))
+        degraded = router.route("ranking", request)
+        assert healthy == degraded
+        assert router.stats.failovers >= 1
+
+    def test_batch_with_no_live_replica_raises(self, index, fleet):
+        fake, router = fleet
+        fake.killed.add(fake.port(2, 0))
+        fake.killed.add(fake.port(2, 1))
+        request = rpc.frame("answer_batch", ranking_batch_blob(index, range(4)))
+        with pytest.raises(NoLiveReplica):
+            router.route("ranking", request)
 
     def test_prober_revives_a_recovered_replica(self, fleet):
         fake, router = fleet

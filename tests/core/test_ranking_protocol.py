@@ -1,15 +1,22 @@
 """Tests for the private ranking protocol and the sharded runtime."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
+from repro.core.cluster_runtime import RankingWorker, ShardedRankingService
 from repro.core.ranking import (
+    RankingBatch,
     RankingClient,
+    RankingQuery,
     RankingService,
     build_query_vector,
 )
 from repro.embeddings.quantize import quantize
+from repro.lwe import modular
+from repro.lwe.regev import Ciphertext
+from repro.net import rpc, wire
 
 
 class TestQueryVector:
@@ -112,7 +119,9 @@ class TestShardedService:
         for w in sharded.workers:
             assert w.matrix_slice.shape[1] % index.layout.dim == 0
 
-    def test_worker_failure_blocks_query(self, engine, ranking_setup):
+    def test_worker_failure_blocks_query(
+        self, engine, ranking_setup, monkeypatch
+    ):
         index, client, _ = ranking_setup
         keys, hints = fresh_keyed_token(engine, 6)
         q_emb = quantize(index.embeddings[0] * index.quantization_gain, index.config.quantization())
@@ -125,10 +134,17 @@ class TestShardedService:
             dim=index.layout.dim,
             num_workers=4,
         )
-        sharded.fail_worker(2)
-        with pytest.raises(WorkerFailure):
-            sharded.answer(query)
-        sharded.revive_worker(2)
+        real_answer = RankingWorker.answer_chunk
+
+        def failing_answer(worker, chunk):
+            if worker.worker_id == 2:
+                raise RuntimeError("worker 2 failed")
+            return real_answer(worker, chunk)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RankingWorker, "answer_chunk", failing_answer)
+            with pytest.raises(RuntimeError, match="worker 2"):
+                sharded.answer(query)
         assert sharded.answer(query).values is not None
 
     def test_workers_capped_by_cluster_count(self, engine):
@@ -144,6 +160,83 @@ class TestShardedService:
     def test_shard_storage_accounting(self, engine):
         sharded = engine.ranking_service
         assert sharded.max_shard_bytes() > 0
+
+
+class TestRequestLength:
+    """A ciphertext of the wrong length is refused, never truncated or
+    padded into a normal-looking answer."""
+
+    @pytest.fixture(scope="class")
+    def service(self, engine):
+        index = engine.index
+        service = ShardedRankingService.build(
+            index.ranking_scheme,
+            index.layout.matrix,
+            dim=index.layout.dim,
+            num_workers=2,
+        )
+        yield service
+        service.close()
+
+    @staticmethod
+    def _words(params, length, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.integers(
+            0, 2**params.q_bits, size=length, dtype=modular.dtype_for(params.q_bits)
+        )
+
+    @pytest.mark.parametrize("delta", [-5, -1, 1, 5])
+    def test_answer_rejects_wrong_length(self, service, delta):
+        params = service.scheme.params.inner
+        ct = Ciphertext(c=self._words(params, params.m + delta), params=params)
+        request = rpc.frame("answer", wire.encode_ciphertext(ct))
+        with pytest.raises(ValueError, match="words"):
+            service.endpoint.dispatch(request)
+        with pytest.raises(ValueError):
+            service.answer(RankingQuery(ciphertext=ct))
+
+    @pytest.mark.parametrize("delta", [-5, -1, 1, 5])
+    def test_answer_batch_rejects_wrong_length(self, service, delta):
+        params = service.scheme.params.inner
+        other = dataclasses.replace(params, m=params.m + delta)
+        stacked = np.stack(
+            [self._words(other, other.m, seed) for seed in range(3)], axis=1
+        )
+        batch = RankingBatch(stacked=stacked, params=other)
+        request = rpc.frame("answer_batch", wire.encode_batch(batch))
+        with pytest.raises(ValueError, match="rows"):
+            service.endpoint.dispatch(request)
+        with pytest.raises(ValueError, match="words"):
+            service.answer_stacked(batch)
+
+    def test_exact_length_answers_over_the_wire(self, service):
+        params = service.scheme.params.inner
+        ct = Ciphertext(c=self._words(params, params.m), params=params)
+        request = rpc.frame("answer", wire.encode_ciphertext(ct))
+        _, payload = rpc.unframe(service.endpoint.dispatch(request))
+        values, _ = wire.decode_answer(payload)
+        assert np.array_equal(
+            values, service.answer(RankingQuery(ciphertext=ct)).values
+        )
+
+    def test_scheduled_answer_rejects_before_batching(self, engine, service):
+        # With an admission queue attached the request must fail on its
+        # own, before it can be stacked with (and fail) other queries.
+        from repro.core.scheduler import BatchScheduler
+
+        params = service.scheme.params.inner
+        ct = Ciphertext(c=self._words(params, params.m + 5), params=params)
+        scheduler = BatchScheduler(service, max_batch_size=4)
+        service.attach_scheduler(scheduler)
+        try:
+            service.open()
+            request = rpc.frame("answer", wire.encode_ciphertext(ct))
+            with pytest.raises(ValueError, match="words"):
+                service.endpoint.dispatch(request)
+            assert scheduler.stats.queries == 0
+        finally:
+            service.close()
+            service.attach_scheduler(None)
 
 
 class TestClientValidation:

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
+from repro.core.cluster_runtime import RankingWorker, ShardedRankingService
 from repro.core.ranking import RankingClient
 from repro.core.scheduler import BatchScheduler, SchedulerClosed
 from repro.embeddings.quantize import quantize
@@ -109,21 +109,30 @@ class TestBatchedExactness:
 
 class TestFaultScoping:
     def test_mid_batch_worker_failure_fails_only_that_batch(
-        self, sched_setup
+        self, sched_setup, monkeypatch
     ):
-        """A dead shard fails the queries in flight -- the scheduler
+        """A failing shard fails the queries in flight -- the scheduler
         and service keep serving the next batch."""
         service, queries = sched_setup
+
+        class ShardDown(RuntimeError):
+            pass
+
+        real_answer = RankingWorker.answer_stacked
+
+        def failing_answer(worker, chunk):
+            if worker.worker_id == 1:
+                raise ShardDown(f"worker {worker.worker_id} failed")
+            return real_answer(worker, chunk)
+
         with BatchScheduler(
             service, max_batch_size=4, max_batch_wait_ms=5.0
         ) as scheduler:
-            service.fail_worker(1)
-            try:
+            with monkeypatch.context() as patch:
+                patch.setattr(RankingWorker, "answer_stacked", failing_answer)
                 _, errors = submit_concurrently(scheduler, queries[:4])
-                assert all(isinstance(e, WorkerFailure) for e in errors)
+                assert all(isinstance(e, ShardDown) for e in errors)
                 assert scheduler.stats.failed_queries == 4
-            finally:
-                service.revive_worker(1)
             # The same scheduler still answers correctly afterwards.
             answer = scheduler.submit(queries[5])
             assert np.array_equal(

@@ -29,6 +29,15 @@ from repro.lwe.backends.shm import SharedMemoryBackend
 from repro.lwe.sampling import seeded_rng
 
 
+@pytest.fixture()
+def four_cores(monkeypatch):
+    """Pin the host core count so worker-count assertions do not
+    depend on the machine running the suite."""
+    from repro.lwe.backends import autotune
+
+    monkeypatch.setattr(autotune.os, "cpu_count", lambda: 4)
+
+
 @pytest.fixture
 def small_matrix():
     rng = seeded_rng(21)
@@ -160,7 +169,7 @@ class TestKernelPlanRecord:
                  "chunk_rows": 0, "workers": 0}
             )
 
-    def test_plan_kwargs_drop_zero_limb(self):
+    def test_plan_kwargs_drop_zero_limb(self, four_cores):
         tuned = KernelPlan.from_dict(
             {"backend": "reference", "limb_bits": 0, "chunk_rows": 512,
              "workers": 2}
@@ -169,6 +178,24 @@ class TestKernelPlanRecord:
         assert kwargs["limb_bits"] is None
         assert kwargs["chunk_rows"] == 512
         assert kwargs["workers"] == 2
+
+    def test_plan_kwargs_cap_workers_at_host_cores(self, monkeypatch):
+        # A plan tuned on a 16-core build host, loaded on a 2-core
+        # server, must not start 16 processes or threads there.
+        from repro.lwe.backends import autotune
+
+        monkeypatch.setattr(autotune.os, "cpu_count", lambda: 2)
+        tuned = KernelPlan.from_dict(
+            {"backend": "cnative", "limb_bits": 0, "chunk_rows": 0,
+             "workers": 16}
+        )
+        assert tuned.workers == 16  # the record itself is unchanged
+        assert tuned.plan_kwargs()["workers"] == 2
+        record = {"kernel_plan": {"ranking": tuned.to_dict()}}
+        _, opts = resolve_kernel_selection(
+            TiptoeConfig(kernel_backend="cnative"), record, "ranking"
+        )
+        assert opts["workers"] == 2
 
 
 class TestAutotuner:
@@ -240,6 +267,7 @@ class TestAutotuner:
             plan.close()
 
 
+@pytest.mark.usefixtures("four_cores")
 class TestResolveKernelSelection:
     RECORD = {
         "kernel_plan": {
