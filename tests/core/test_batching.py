@@ -98,13 +98,20 @@ class TestPlanLifecycle:
     def test_close_drops_the_plans(self, engine, batch_setup):
         _, queries = batch_setup
         service = self._build(engine)
-        want = service.answer(queries[0]).values
+        service.answer(queries[0])
         assert all(w._plan is not None for w in service.workers)
         service.close()
         assert all(w._plan is None for w in service.workers)
         service.close()  # idempotent
+
+    def test_answer_after_close_rebuilds_plans(self, engine, batch_setup):
+        _, queries = batch_setup
+        service = self._build(engine)
+        want = service.answer(queries[0]).values
+        service.close()
         # Plans rebuild lazily on the next query, bit for bit.
         assert np.array_equal(service.answer(queries[0]).values, want)
+        assert all(w._plan is not None for w in service.workers)
         service.close()
 
     def test_context_manager_closes(self, engine, batch_setup):
