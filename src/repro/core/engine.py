@@ -248,7 +248,8 @@ class TiptoeEngine:
             "url": self.index.url_scheme,
         }
         with obs.span("token.acquire", services=len(schemes)):
-            keys, enc_keys, _ = make_client_keys(schemes, rng)
+            with obs.span("token.keygen"):
+                keys, enc_keys, _ = make_client_keys(schemes, rng)
             log = TrafficLog()
             channel = RpcChannel(log, self.transport)
             body = channel.call(
@@ -259,12 +260,13 @@ class TiptoeEngine:
                 wire.encode_mint_request(enc_keys),
             )
             payload = wire.decode_token_payload(body)
-            hint_products = {
-                name: schemes[name].decrypt_hint_product(
-                    keys[name], payload.hints[name]
-                )
-                for name in schemes
-            }
+            with obs.span("token.decrypt_hint"):
+                hint_products = {
+                    name: schemes[name].decrypt_hint_product(
+                        keys[name], payload.hints[name]
+                    )
+                    for name in schemes
+                }
         return QueryToken(
             keys=keys,
             hint_products=hint_products,
@@ -291,7 +293,8 @@ class TiptoeEngine:
             "url": self.index.url_scheme,
         }
         with obs.span("token.acquire_many", clients=count):
-            keysets = [make_client_keys(schemes, rng) for _ in range(count)]
+            with obs.span("token.keygen", clients=count):
+                keysets = [make_client_keys(schemes, rng) for _ in range(count)]
             log = TrafficLog()
             channel = RpcChannel(log, self.transport)
             body = channel.call(
@@ -307,14 +310,20 @@ class TiptoeEngine:
                     f"mint_many returned {len(payloads)} tokens for"
                     f" {count} clients"
                 )
+            with obs.span("token.decrypt_hint", clients=count):
+                products = [
+                    {
+                        name: schemes[name].decrypt_hint_product(
+                            keys[name], payload.hints[name]
+                        )
+                        for name in schemes
+                    }
+                    for (keys, _, _), payload in zip(keysets, payloads)
+                ]
             tokens = []
-            for (keys, enc_keys, _), payload in zip(keysets, payloads):
-                hint_products = {
-                    name: schemes[name].decrypt_hint_product(
-                        keys[name], payload.hints[name]
-                    )
-                    for name in schemes
-                }
+            for (keys, enc_keys, _), payload, hint_products in zip(
+                keysets, payloads, products
+            ):
                 tokens.append(
                     QueryToken(
                         keys=keys,

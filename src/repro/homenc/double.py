@@ -177,16 +177,34 @@ class DoubleLheScheme:
     def encrypt_key(
         self, keys: ClientKeys, rng: np.random.Generator | None = None
     ) -> EncryptedKey:
-        """Encrypt each inner-secret component under the outer scheme."""
-        rng = sampling.resolve_rng(rng)
-        s_signed = keys.inner.signed()
-        z_b = []
-        z_a = []
-        for s_i in s_signed:
-            ct = self.outer.encrypt(keys.outer, np.array([int(s_i)]), rng)
-            z_b.append(ct.b)
-            z_a.append(ct.a)
-        return EncryptedKey(z_b=np.stack(z_b), z_a=np.stack(z_a))
+        """Encrypt each inner-secret component under the outer scheme.
+
+        One batched outer encryption of the ``n_inner`` constants ``s_i``:
+        component i equals ``outer.encrypt(keys.outer, [s_i], rng)`` run
+        in index order on the same rng.
+        """
+        ct = self.outer.encrypt(keys.outer, keys.inner.signed()[:, None], rng)
+        return EncryptedKey(z_b=ct.b, z_a=ct.a)
+
+    def check_encrypted_key(self, enc_key: EncryptedKey) -> None:
+        """Reject an upload that is not ``n_inner`` well-formed outer ciphertexts.
+
+        Raises ``ValueError`` unless both arrays are shaped ``(n_inner,
+        k, n_outer)`` and every residue lies below its prime -- before
+        the evaluation would truncate, broadcast or index past them.
+        """
+        ring = self.outer.ring
+        want = (self.params.inner.n, ring.k, ring.n)
+        primes = np.array(ring.primes, dtype=np.uint64).reshape(-1, 1)
+        for name, z in (("z_b", enc_key.z_b), ("z_a", enc_key.z_a)):
+            if z.shape != want:
+                raise ValueError(
+                    f"encrypted key {name} has shape {z.shape}, expected {want}"
+                )
+            if z.dtype != np.uint64 or not (z < primes).all():
+                raise ValueError(
+                    f"encrypted key {name} holds values outside [0, p) for its primes"
+                )
 
     # -- server-side preprocessing ---------------------------------------------
 
@@ -334,12 +352,32 @@ class DoubleLheScheme:
     def decrypt_hint_product(
         self, keys: ClientKeys, compressed: CompressedHint
     ) -> np.ndarray:
-        """Recover ``H' s mod T`` (one value per hint row)."""
-        pieces = [
-            self.outer.decrypt(keys.outer, chunk) for chunk in compressed.chunks
-        ]
-        flat = np.concatenate(pieces)[: compressed.rows]
-        return flat.astype(np.uint64)
+        """Recover ``H' s mod T`` (one value per hint row).
+
+        All chunks decrypt as one stacked ciphertext: one inverse NTT
+        per prime and one CRT-and-round pass for the whole token.
+        Raises ``ValueError`` unless the token carries exactly
+        ``ceil(rows / n_outer)`` chunks, each shaped ``(k, n_outer)``.
+        """
+        ring = self.outer.ring
+        chunks = compressed.chunks
+        expected = -(-compressed.rows // ring.n)
+        if len(chunks) != expected:
+            raise ValueError(
+                f"hint of {compressed.rows} rows needs {expected} chunks,"
+                f" got {len(chunks)}"
+            )
+        for i, chunk in enumerate(chunks):
+            if chunk.b.shape != (ring.k, ring.n) or chunk.a.shape != (ring.k, ring.n):
+                raise ValueError(
+                    f"hint chunk {i} has shapes {chunk.b.shape}/{chunk.a.shape},"
+                    f" expected {(ring.k, ring.n)}"
+                )
+        stacked = BfvCiphertext(
+            b=np.stack([c.b for c in chunks]), a=np.stack([c.a for c in chunks])
+        )
+        flat = self.outer.decrypt(keys.outer, stacked).reshape(-1)
+        return flat[: compressed.rows].astype(np.uint64)
 
     # -- the online query path ----------------------------------------------------
 

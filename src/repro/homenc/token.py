@@ -116,6 +116,17 @@ class TokenFactory:
     def service(self, name: str) -> ServiceCrypto:
         return self._services[name]
 
+    def _check_keys(self, enc_keys: dict[str, EncryptedKey]) -> None:
+        """Reject a missing or malformed key for any service, before any work."""
+        missing = set(self._services) - set(enc_keys)
+        if missing:
+            raise ValueError(f"missing encrypted keys for services {missing}")
+        for name, svc in self._services.items():
+            try:
+                svc.scheme.check_encrypted_key(enc_keys[name])
+            except ValueError as exc:
+                raise ValueError(f"service {name!r}: {exc}") from None
+
     def mint(self, enc_keys: dict[str, EncryptedKey]) -> TokenPayload:
         """Evaluate every service's hint under the client's keys.
 
@@ -123,9 +134,7 @@ class TokenFactory:
         for it; with the shared-key optimization several names map to
         the same :class:`EncryptedKey` object, uploaded once.
         """
-        missing = set(self._services) - set(enc_keys)
-        if missing:
-            raise ValueError(f"missing encrypted keys for services {missing}")
+        self._check_keys(enc_keys)
         hints = {}
         with obs.span("token.mint", services=len(self._services)):
             for name, svc in self._services.items():
@@ -151,12 +160,10 @@ class TokenFactory:
         if not enc_keys_list:
             return []
         for i, enc_keys in enumerate(enc_keys_list):
-            missing = set(self._services) - set(enc_keys)
-            if missing:
-                raise ValueError(
-                    f"client {i}: missing encrypted keys for services"
-                    f" {missing}"
-                )
+            try:
+                self._check_keys(enc_keys)
+            except ValueError as exc:
+                raise ValueError(f"client {i}: {exc}") from None
         per_client: list[dict[str, CompressedHint]] = [
             {} for _ in enc_keys_list
         ]
@@ -239,7 +246,7 @@ def request_token(
     the eventual query string.
     """
     keys, enc_keys, upload_bytes = make_client_keys(schemes, rng)
-    # tiptoe-lint: disable=itaint-raise -- mint()'s error path embeds only the *names* of missing services (dict keys), never the encrypted key material
+    # tiptoe-lint: disable=itaint-raise -- mint()'s error paths embed only service names and array shapes, never the encrypted key material
     payload = factory.mint(enc_keys)
     hint_products = {
         name: schemes[name].decrypt_hint_product(keys[name], payload.hints[name])

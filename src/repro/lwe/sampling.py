@@ -97,18 +97,24 @@ def expand_matrix(seed: int | bytes, rows: int, cols: int, q_bits: int) -> np.nd
     return (hi.astype(dtype) << dtype(32)) | lo.astype(dtype)
 
 
-def gaussian_error(
-    rng: np.random.Generator, sigma: float, size: int | tuple, q_bits: int
+def rounded_gaussian(
+    rng: np.random.Generator, sigma: float, size: int | tuple
 ) -> np.ndarray:
-    """Sample rounded-Gaussian errors, reduced into Z_{2^q_bits}.
+    """Sample rounded-Gaussian errors as small signed integers.
 
     SimplePIR samples from the discrete Gaussian; rounding a continuous
     Gaussian is the standard implementation (and what the SimplePIR
     codebase itself does) -- statistically within 2^-40 of the target
     for the sigmas used here.
     """
-    raw = np.rint(rng.normal(0.0, sigma, size=size)).astype(np.int64)
-    return modular.to_ring(raw, q_bits)
+    return np.rint(rng.normal(0.0, sigma, size=size)).astype(np.int64)
+
+
+def gaussian_error(
+    rng: np.random.Generator, sigma: float, size: int | tuple, q_bits: int
+) -> np.ndarray:
+    """Sample rounded-Gaussian errors, reduced into Z_{2^q_bits}."""
+    return modular.to_ring(rounded_gaussian(rng, sigma, size), q_bits)
 
 
 def ternary_secret(

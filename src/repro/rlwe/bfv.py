@@ -137,22 +137,19 @@ class BfvScheme:
     # -- encoding -----------------------------------------------------------
 
     def encode(self, message: np.ndarray) -> np.ndarray:
-        """Scale messages mod t into a coefficient-domain ring element."""
-        q, t = self.params.q, self.params.t
-        msg = [int(m) % t for m in np.asarray(message).ravel()]
-        if len(msg) > self.params.n:
-            raise ValueError("message longer than ring dimension")
-        msg += [0] * (self.params.n - len(msg))
-        scaled = [(m * q + t // 2) // t for m in msg]
-        return self.ring.from_ints(scaled)
+        """Scale messages mod t into coefficient-domain ring elements.
 
-    def decode(self, phase: list[int], length: int | None = None) -> np.ndarray:
-        """Recover messages mod t from centered decryption phases."""
-        q, t = self.params.q, self.params.t
-        out = [((y * t + q // 2) // q) % t for y in phase]
-        if length is not None:
-            out = out[:length]
-        return np.array(out, dtype=np.int64)
+        ``message`` is ``(L,)`` for one ring element or ``(B, L)`` for a
+        stack of B; coefficients past L encode zero.  Only the L given
+        coefficients are scaled, so a constant touches coefficient 0.
+        """
+        msg = np.asarray(message)
+        if msg.shape[-1] > self.params.n:
+            raise ValueError("message longer than ring dimension")
+        t = self.params.t
+        out = np.zeros(msg.shape[:-1] + (self.ring.k, self.params.n), np.uint64)
+        out[..., : msg.shape[-1]] = self.ring.scale_up(msg % t, t)
+        return out
 
     def encode_slots(self, values: np.ndarray) -> np.ndarray:
         """Pack per-slot values mod t into a plaintext polynomial."""
@@ -184,7 +181,7 @@ class BfvScheme:
         message: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> BfvCiphertext:
-        """Encrypt a vector of coefficients mod t."""
+        """Encrypt coefficients mod t: ``(L,)`` for one ciphertext, ``(B, L)`` for B."""
         return self.encrypt_encoded(sk, self.encode(message), rng)
 
     def encrypt_encoded(
@@ -193,26 +190,49 @@ class BfvScheme:
         encoded: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> BfvCiphertext:
-        """Encrypt an already-encoded coefficient-domain ring element."""
+        """Encrypt encoded coefficient-domain ring elements.
+
+        ``encoded`` is ``(k, n)`` for one ciphertext or ``(B, k, n)`` for
+        a batch, whose ciphertext then carries the same leading axis.
+        Randomness is drawn ciphertext by ciphertext -- the k uniform
+        residue vectors of ``a``, then the error -- so element j of a
+        batch equals the j-th of B single encryptions from the same rng;
+        the NTTs then run once per prime for the whole batch.
+        """
         rng = sampling.resolve_rng(rng)
         ring = self.ring
-        a_ntt = ring.to_ntt(ring.sample_uniform(rng))
-        e = ring.sample_gaussian(rng, self.params.sigma)
-        payload = ring.to_ntt(ring.add(e, encoded))
+        batch = np.asarray(encoded).reshape(-1, ring.k, ring.n)
+        a = np.empty(batch.shape, dtype=np.uint64)
+        e = np.empty((len(batch), ring.n), dtype=np.int64)
+        for j in range(len(batch)):
+            a[j] = ring.sample_uniform(rng)
+            e[j] = sampling.rounded_gaussian(rng, self.params.sigma, ring.n)
+        a_ntt = ring.to_ntt(a)
+        payload = ring.to_ntt(ring.add(ring.from_signed(e), batch))
         b_ntt = ring.add(ring.mul_pointwise(a_ntt, sk.s_ntt), payload)
-        return BfvCiphertext(b=b_ntt, a=a_ntt)
+        shape = np.shape(encoded)
+        return BfvCiphertext(b=b_ntt.reshape(shape), a=a_ntt.reshape(shape))
+
+    def _phase(self, sk: BfvSecretKey, ct: BfvCiphertext) -> np.ndarray:
+        """Coefficient-domain residues of the phase ``b - a*s``."""
+        ring = self.ring
+        return ring.from_ntt(ring.sub(ct.b, ring.mul_pointwise(ct.a, sk.s_ntt)))
 
     def decrypt_phase(self, sk: BfvSecretKey, ct: BfvCiphertext) -> list[int]:
         """The centered decryption phase ``b - a*s`` as Python ints."""
-        ring = self.ring
-        y_ntt = ring.sub(ct.b, ring.mul_pointwise(ct.a, sk.s_ntt))
-        return ring.to_centered_ints(ring.from_ntt(y_ntt))
+        return self.ring.to_centered_ints(self._phase(sk, ct))
 
     def decrypt(
         self, sk: BfvSecretKey, ct: BfvCiphertext, length: int | None = None
     ) -> np.ndarray:
-        """Decrypt to coefficient messages mod t."""
-        return self.decode(self.decrypt_phase(sk, ct), length)
+        """Decrypt to coefficient messages mod t.
+
+        A ciphertext stacked as ``(..., k, n)`` decrypts to ``(..., n)``
+        (cut to ``length`` coefficients) with one inverse NTT per prime.
+        """
+        return self.ring.scale_down(self._phase(sk, ct), self.params.t)[
+            ..., :length
+        ]
 
     def decrypt_slots(self, sk: BfvSecretKey, ct: BfvCiphertext) -> np.ndarray:
         """Decrypt to slot values mod t (batched plaintexts)."""

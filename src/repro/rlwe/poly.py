@@ -4,8 +4,9 @@ The outer scheme's ciphertext modulus q is a product of NTT-friendly
 primes; ring elements are stored as a stack of per-prime residue
 polynomials (shape ``(k, n)`` for k primes).  Because the CRT map is a
 ring isomorphism, all arithmetic -- including uniform sampling -- is
-done independently per prime, and full-width integers only appear at
-encode/decode time.
+done independently per prime.  Every method also accepts a stack of
+ring elements shaped ``(..., k, n)`` and then costs one NumPy pass per
+prime for the whole stack, not one per element.
 """
 
 from __future__ import annotations
@@ -14,7 +15,18 @@ import math
 
 import numpy as np
 
+from repro.lwe import sampling
 from repro.rlwe.ntt import ntt_context
+
+#: Distance from a rounding edge below which :meth:`RnsContext.scale_down`
+#: recomputes the carry exactly; float64 sums of k < 8 fractions in
+#: [0, 1) are off by far less.
+_EDGE = 1e-9
+
+
+def _check_plain_modulus(t: int) -> None:
+    if not 2 <= t < 1 << 32:
+        raise ValueError(f"plaintext modulus {t} must lie in [2, 2^32)")
 
 
 class RnsContext:
@@ -44,9 +56,9 @@ class RnsContext:
     # -- representation ---------------------------------------------------
 
     def from_signed(self, coeffs: np.ndarray) -> np.ndarray:
-        """Lift small signed integer coefficients into RNS form."""
+        """Lift small signed coefficients ``(..., n)`` into RNS ``(..., k, n)``."""
         coeffs = np.asarray(coeffs, dtype=np.int64)
-        residues = coeffs[None, :] % self._primes_arr.astype(np.int64)
+        residues = coeffs[..., None, :] % self._primes_arr.astype(np.int64)
         return residues.astype(np.uint64)
 
     def from_ints(self, coeffs: list[int] | np.ndarray) -> np.ndarray:
@@ -74,6 +86,56 @@ class RnsContext:
         half = self.q // 2
         return [x - self.q if x >= half else x for x in self.to_ints(rns)]
 
+    # -- scaling between Z_t and Z_q (BFV encode / decode) ----------------
+
+    def scale_up(self, values: np.ndarray, t: int) -> np.ndarray:
+        """RNS residues of ``round(m * q / t)`` for each ``m`` in ``[0, t)``.
+
+        ``values`` is ``(..., L)``; the result is ``(..., k, L)``.  With
+        ``q = Q*t + R`` the rounded quotient splits exactly into
+        ``m*Q + (m*R + t//2) // t``, and every partial product stays in
+        uint64 because ``m, R < t < 2^32`` and residues are below 2^31.
+        """
+        _check_plain_modulus(t)
+        m = np.asarray(values, dtype=np.uint64)
+        big_q, rem = divmod(self.q, t)
+        low = (m * np.uint64(rem) + np.uint64(t // 2)) // np.uint64(t)
+        q_res = np.array(
+            [big_q % p for p in self.primes], dtype=np.uint64
+        ).reshape(-1, 1)
+        m = m[..., None, :]
+        return (m * q_res % self._primes_arr + low[..., None, :]) % self._primes_arr
+
+    def scale_down(self, rns: np.ndarray, t: int) -> np.ndarray:
+        """``round(x * t / q) mod t`` for ``x`` the CRT value of each coefficient.
+
+        ``rns`` is ``(..., k, n)``; the result is ``(..., n)`` int64 and
+        equals ``((x*t + q//2) // q) % t`` on Python ints exactly.  With
+        ``y_i = r_i * (q/p_i)^-1 mod p_i`` the value ``x*t/q`` is
+        ``sum_i y_i*t/p_i`` minus a multiple of t, so it splits into the
+        integer parts ``u_i = y_i*t // p_i`` and the fractions
+        ``w_i / p_i``.  Only the rounding carry of the fractions needs
+        more than uint64; it is read off a float64 sum and recomputed
+        on Python ints where that sum lies too near a rounding edge.
+        """
+        _check_plain_modulus(t)
+        qhat_inv = np.array(self._qhat_inv, dtype=np.uint64).reshape(-1, 1)
+        y = rns * qhat_inv % self._primes_arr
+        u, w = np.divmod(y * np.uint64(t), self._primes_arr)
+        frac = (w / self._primes_arr.astype(np.float64)).sum(axis=-2) + 0.5
+        carry = np.floor(frac).astype(np.int64)
+        # q is odd, so the exact value is never a half-integer; only a
+        # float sum within its rounding error of one can round wrongly.
+        near = np.abs(frac - np.rint(frac)) < _EDGE
+        if near.any():
+            q = self.q
+            carry[near] = [
+                (2 * sum(int(wi) * qh for wi, qh in zip(col, self._qhat)) + q)
+                // (2 * q)
+                for col in np.moveaxis(w, -2, -1)[near]
+            ]
+        return (u.sum(axis=-2).astype(np.int64) + carry) % t
+
     # -- arithmetic (elementwise per prime; valid in NTT or coeff domain) --
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,13 +160,17 @@ class RnsContext:
     # -- transforms --------------------------------------------------------
 
     def to_ntt(self, rns: np.ndarray) -> np.ndarray:
+        """Forward NTT of ``(..., k, n)``: one transform call per prime."""
         return np.stack(
-            [self.ntts[i].forward(rns[i]) for i in range(self.k)]
+            [self.ntts[i].forward(rns[..., i, :]) for i in range(self.k)],
+            axis=-2,
         )
 
     def from_ntt(self, rns: np.ndarray) -> np.ndarray:
+        """Inverse NTT of ``(..., k, n)``: one transform call per prime."""
         return np.stack(
-            [self.ntts[i].inverse(rns[i]) for i in range(self.k)]
+            [self.ntts[i].inverse(rns[..., i, :]) for i in range(self.k)],
+            axis=-2,
         )
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,8 +190,7 @@ class RnsContext:
         self, rng: np.random.Generator, sigma: float
     ) -> np.ndarray:
         """A rounded-Gaussian error element, lifted into RNS."""
-        raw = np.rint(rng.normal(0.0, sigma, size=self.n)).astype(np.int64)
-        return self.from_signed(raw)
+        return self.from_signed(sampling.rounded_gaussian(rng, sigma, self.n))
 
     def sample_ternary(self, rng: np.random.Generator) -> np.ndarray:
         """A uniformly ternary ring element, lifted into RNS."""

@@ -99,3 +99,40 @@ class TestWireRobustness:
         back, q_bits = wire.decode_matrix(wire.encode_matrix(m, 32))
         assert q_bits == 32
         assert np.array_equal(back, m)
+
+
+class TestTokenAcquisitionSpans:
+    """Token acquisition is attributed: the client's key generation and
+    hint decryption each get a span beside the mint's RPC call."""
+
+    @staticmethod
+    def _trace(fn):
+        from repro import obs
+
+        tracer, _ = obs.enable()
+        try:
+            fn()
+            return tracer.last_trace()
+        finally:
+            obs.disable()
+
+    def test_mint_token_children(self, engine):
+        trace = self._trace(lambda: engine.mint_token(np.random.default_rng(0)))
+        assert trace.name == "token.acquire"
+        assert trace.child_names() == [
+            "token.keygen",
+            "rpc.call",
+            "token.decrypt_hint",
+        ]
+
+    def test_mint_tokens_children(self, engine):
+        trace = self._trace(
+            lambda: engine.mint_tokens(2, np.random.default_rng(0))
+        )
+        assert trace.name == "token.acquire_many"
+        assert trace.child_names() == [
+            "token.keygen",
+            "rpc.call",
+            "token.decrypt_hint",
+        ]
+        assert trace.children[0].attrs["clients"] == 2

@@ -100,3 +100,72 @@ class TestEngineModes:
         assert engine.url_endpoint is engine.services["url"].endpoint
         assert engine.token_endpoint is engine.services["token"].endpoint
         assert engine.hint_endpoint is engine.services["hint"].endpoint
+
+
+class TestMintRejectsMalformedKeys:
+    """The token service checks every uploaded encrypted key against its
+    service's ``(n_inner, k, n_outer)`` shape and prime bounds before any
+    evaluation: a short key would otherwise mint a token from part of
+    the secret, a one-row key would broadcast, and a key with too few
+    primes would fail with an IndexError mid-evaluation."""
+
+    @staticmethod
+    def _bad_keys(engine):
+        from repro.homenc.double import EncryptedKey
+        from repro.homenc.token import make_client_keys
+
+        schemes = {
+            "ranking": engine.index.ranking_scheme,
+            "url": engine.index.url_scheme,
+        }
+        _, good, _ = make_client_keys(schemes, np.random.default_rng(3))
+        z_b, z_a = good["ranking"].z_b, good["ranking"].z_a
+        n_inner = z_b.shape[0]
+        prime = engine.index.ranking_scheme.outer.ring.primes[1]
+        over = z_b.copy()
+        over[n_inner - 1, 1, 0] = prime
+        variants = {
+            "half": EncryptedKey(z_b=z_b[: n_inner // 2], z_a=z_a[: n_inner // 2]),
+            "one-row": EncryptedKey(z_b=z_b[:1], z_a=z_a[:1]),
+            "one-prime": EncryptedKey(z_b=z_b[:, :1], z_a=z_a[:, :1]),
+            "residue-at-prime": EncryptedKey(z_b=over, z_a=z_a),
+        }
+        return good, {
+            name: {**good, "ranking": key} for name, key in variants.items()
+        }
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        from repro.homenc.double import DoubleLheScheme
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluation ran on a malformed key")
+
+        monkeypatch.setattr(DoubleLheScheme, "evaluate_hint", forbidden)
+        monkeypatch.setattr(DoubleLheScheme, "evaluate_hint_batch", forbidden)
+
+    def test_mint_rejects_each_malformed_key(self, engine, no_evaluation):
+        ep = engine.services["token"].endpoint
+        _, bad = self._bad_keys(engine)
+        for name, enc_keys in bad.items():
+            request = frame("mint", wire.encode_mint_request(enc_keys))
+            with pytest.raises(ValueError, match="ranking"):
+                ep.dispatch(request)
+
+    def test_mint_many_rejects_a_batch_with_one_malformed_key(
+        self, engine, no_evaluation
+    ):
+        ep = engine.services["token"].endpoint
+        good, bad = self._bad_keys(engine)
+        for name, enc_keys in bad.items():
+            request = frame(
+                "mint_many", wire.encode_mint_many_request([good, enc_keys])
+            )
+            with pytest.raises(ValueError, match="client 1"):
+                ep.dispatch(request)
+
+    def test_well_formed_key_still_mints(self, engine):
+        ep = engine.services["token"].endpoint
+        good, _ = self._bad_keys(engine)
+        _, body = unframe(ep.dispatch(frame("mint", wire.encode_mint_request(good))))
+        assert set(wire.decode_token_payload(body).hints) == {"ranking", "url"}

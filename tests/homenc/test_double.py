@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.homenc import DoubleLheParams, DoubleLheScheme
+from repro.homenc.double import CompressedHint
 from repro.lwe import LweParams
 from repro.lwe.sampling import seeded_rng
+from repro.rlwe.bfv import BfvCiphertext
 
 
 def toy_params(q_bits=64, p=2**12, m=48, n_inner=32, n_outer=64):
@@ -124,3 +126,46 @@ class TestValidation:
         inner = LweParams(n=16, q_bits=32, p=16, sigma=6.4, m=8)
         with pytest.raises(ValueError):
             DoubleLheParams(inner=inner, switch_modulus=(1 << 32) + 1)
+
+
+class TestMalformedToken:
+    """decrypt_hint_product refuses a token whose chunks do not cover
+    exactly ``rows`` hint rows in well-shaped outer ciphertexts."""
+
+    @pytest.fixture(scope="class")
+    def url_hint(self, scheme, keyed):
+        # 577 rows at n_outer = 64: ten chunks, the last one partial.
+        _, enc_key = keyed
+        matrix = seeded_rng(5).integers(0, 8, size=(577, scheme.params.inner.m))
+        return scheme.evaluate_hint(enc_key, scheme.preprocess(matrix))
+
+    def test_well_formed_hint_decrypts(self, scheme, keyed, url_hint):
+        assert len(url_hint.chunks) == 10
+        got = scheme.decrypt_hint_product(keyed[0], url_hint)
+        assert got.shape == (577,)
+
+    @pytest.mark.parametrize("count", [0, 3, 9, 11])
+    def test_wrong_chunk_count_rejected(self, scheme, keyed, url_hint, count):
+        chunks = (url_hint.chunks * 2)[:count]
+        with pytest.raises(ValueError, match="10 chunks"):
+            scheme.decrypt_hint_product(
+                keyed[0], CompressedHint(chunks=chunks, rows=577)
+            )
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda c: BfvCiphertext(b=c.b[:2], a=c.a[:2]),
+            lambda c: BfvCiphertext(b=c.b[:, :32], a=c.a[:, :32]),
+            lambda c: BfvCiphertext(b=c.b, a=c.a[:, :32]),
+            lambda c: BfvCiphertext(b=c.b[None], a=c.a[None]),
+        ],
+        ids=["primes", "ring", "a-only", "stacked"],
+    )
+    def test_wrong_chunk_shape_rejected(self, scheme, keyed, url_hint, cut):
+        chunks = list(url_hint.chunks)
+        chunks[4] = cut(chunks[4])
+        with pytest.raises(ValueError, match="chunk 4"):
+            scheme.decrypt_hint_product(
+                keyed[0], CompressedHint(chunks=tuple(chunks), rows=577)
+            )

@@ -79,3 +79,41 @@ class TestSampling:
         rng = np.random.default_rng(5)
         vals = ring.to_centered_ints(ring.sample_gaussian(rng, 3.2))
         assert max(abs(v) for v in vals) < 40
+
+
+class TestScaling:
+    """scale_up / scale_down are the BFV encode / decode roundings; both
+    must equal the Python-int formulas exactly, for every t < 2^32."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return RnsContext(32, find_ntt_primes(32, 30, 3))
+
+    @pytest.mark.parametrize("t", [2, 1 << 16, 65537, 4294967291])
+    def test_scale_up_matches_python_ints(self, wide, t):
+        rng = np.random.default_rng(t)
+        m = np.concatenate([[0, 1, t - 1], rng.integers(0, t, size=61)])
+        want = [[(int(v) * wide.q + t // 2) // t % p for v in m] for p in wide.primes]
+        got = wide.scale_up(m.reshape(2, 32), t)
+        assert got.shape == (2, wide.k, 32)
+        assert np.array_equal(np.concatenate(list(got), axis=1), np.array(want))
+
+    @pytest.mark.parametrize("t", [2, 1 << 16, 65537, 4294967291])
+    def test_scale_down_matches_python_ints(self, wide, t):
+        rng = np.random.default_rng(t + 1)
+        q = wide.q
+        xs = [int.from_bytes(rng.bytes(16), "little") % q for _ in range(32)]
+        # The coefficients whose x*t/q lies closest to j + 1/2: a float
+        # sum of the CRT fractions cannot tell which way they round.
+        for j in rng.integers(0, t, size=16):
+            edge = (2 * int(j) + 1) * q // (2 * t)
+            xs += [edge, edge + 1]
+        xs += [0, q - 1]
+        want = [((x * t + q // 2) // q) % t for x in xs]
+        assert wide.scale_down(wide.from_ints(xs), t).tolist() == want
+
+    def test_out_of_range_plaintext_modulus_rejected(self, wide):
+        with pytest.raises(ValueError):
+            wide.scale_up(np.zeros(4), 1 << 32)
+        with pytest.raises(ValueError):
+            wide.scale_down(wide.zero(), 1)
